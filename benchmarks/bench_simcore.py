@@ -6,7 +6,9 @@ Plain script (not pytest — ``testpaths`` keeps it out of tier-1)::
     PYTHONPATH=src python benchmarks/bench_simcore.py --quick
 
 Four engine scenarios, each run on both agenda engines with a
-repeat-and-take-best loop:
+repeat-and-take-best loop. Each engine is forced the way the tests force
+it, by patching the simulator's migration threshold (``inf`` keeps the
+heap, ``-1`` migrates to the calendar on the first push):
 
 * ``heavy_traffic`` — the fleet-scale tier (ROADMAP item 1): hundreds
   of thousands of concurrent sessions rescheduling jittered ~1s
@@ -17,16 +19,11 @@ repeat-and-take-best loop:
   batched same-time draining.
 * ``timeout_chain`` — one process advancing through timeouts; the
   minimum-agenda case where C heapq wins on constant factors. This is
-  precisely why the default engine is adaptive: ``"auto"`` stays on
+  precisely why the engine choice is adaptive: a simulator stays on
   the heap below the migration threshold, so light workloads never
   pay the calendar's pure-Python bookkeeping.
 * ``far_future_mix`` — steady traffic plus cert-rotation-style timers
   far past the horizon, exercising the sorted spill path.
-
-Plus a **warm-start sweep demo**: a steady-state world simulated to a
-warm-up horizon once, snapshotted, and forked per sweep point
-(``repro.runtime.warmstart``) vs. re-simulating warm-up per point; the
-tentpole target is >= 3x wall-clock reduction.
 
 Appends to the committed ``BENCH_simcore.json`` perf trajectory (see
 ``benchlib``); the CI ``perf-gate`` job compares fresh normalized rates
@@ -34,6 +31,7 @@ against the latest committed entries and fails on >10% regression.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -43,14 +41,29 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import benchlib  # noqa: E402
-from repro.runtime import warm_start  # noqa: E402
 from repro.simcore import Simulator  # noqa: E402
+from repro.simcore import sim as simmod  # noqa: E402
 
-ENGINES = ("heap", "calendar")
+#: Migration threshold that forces each engine.
+ENGINES = {"heap": float("inf"), "calendar": -1}
+
+
+def _on_engine(scenario):
+    """Make ``scenario(scale)`` callable as ``(engine, scale)``: the run
+    happens with ``engine`` forced through the migration threshold."""
+    @functools.wraps(scenario)
+    def run(engine, scale):
+        default = simmod._AUTO_MIGRATE
+        simmod._AUTO_MIGRATE = ENGINES[engine]
+        try:
+            return scenario(scale)
+        finally:
+            simmod._AUTO_MIGRATE = default
+    return run
 
 
 # ---------------------------------------------------------------------------
-# scenario worlds — callback-driven so they are also snapshot-eligible.
+# scenario worlds.
 
 
 class _Session:
@@ -71,9 +84,10 @@ class _Session:
         self.sim.timeout(delay).add_callback(self.fire)
 
 
-def _scn_heavy_traffic(engine, scale):
+@_on_engine
+def _scn_heavy_traffic(scale):
     nsessions = int(400_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     rng = random.Random(42)
     sessions = [_Session(sim, rng, 1.0) for _ in range(nsessions)]
     started = time.perf_counter()
@@ -104,9 +118,10 @@ class _Burst:
             self._arm(1.0)
 
 
-def _scn_same_instant_bursts(engine, scale):
+@_on_engine
+def _scn_same_instant_bursts(scale):
     rounds, fan = int(800 * scale), 500
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     burst = _Burst(sim, fan, rounds)
     started = time.perf_counter()
     sim.run()
@@ -114,9 +129,10 @@ def _scn_same_instant_bursts(engine, scale):
     return burst.fired, elapsed
 
 
-def _scn_timeout_chain(engine, scale):
+@_on_engine
+def _scn_timeout_chain(scale):
     n = int(400_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
 
     def ticker():
         for _ in range(n):
@@ -129,10 +145,11 @@ def _scn_timeout_chain(engine, scale):
     return sim._sequence, elapsed
 
 
-def _scn_far_future_mix(engine, scale):
+@_on_engine
+def _scn_far_future_mix(scale):
     nsessions = int(50_000 * scale)
     ntimers = int(20_000 * scale)
-    sim = Simulator(seed=7, agenda=engine)
+    sim = Simulator(seed=7)
     rng = random.Random(42)
     sessions = [_Session(sim, rng, 1.0) for _ in range(nsessions)]
     fired_far = []
@@ -179,64 +196,6 @@ def bench_engines(quick):
     return out
 
 
-# ---------------------------------------------------------------------------
-# warm-start sweep demo — warm up once + fork vs re-simulate per point.
-
-
-_WARM_SESSIONS = 5_000
-_WARMUP_S = 60.0
-_MEASURE_S = 1.0
-_POINTS = list(range(8))
-
-
-def _build_warm_world():
-    sim = Simulator(seed=11)
-    rng = random.Random(13)
-    sim._sessions = [_Session(sim, rng, 1.0)  # park on the sim: picklable
-                     for _ in range(_WARM_SESSIONS)]
-    return sim
-
-
-def _measure_point(sim, point):
-    horizon = sim.now + _MEASURE_S
-    sim.run(until=horizon)
-    return sum(s.fired for s in sim._sessions) + point
-
-
-def bench_warmstart(quick):
-    points = _POINTS[:4] if quick else _POINTS
-    warmup = _WARMUP_S / 2 if quick else _WARMUP_S
-
-    started = time.perf_counter()
-    cold_results = []
-    for point in points:
-        sim = _build_warm_world()
-        sim.run(until=warmup)
-        cold_results.append(_measure_point(sim, point))
-    cold_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    snapshot = warm_start(_build_warm_world, until=warmup)
-    warm_results = snapshot.map(_measure_point, points)
-    warm_s = time.perf_counter() - started
-
-    assert warm_results == cold_results, (
-        "warm-started sweep diverged from cold sweep")
-    speedup = cold_s / warm_s
-    print(f"  warmstart_sweep: {cold_s:.2f}s cold, {warm_s:.2f}s warm "
-          f"({speedup:.2f}x, variant {snapshot.variant})")
-    return {
-        "points": len(points),
-        "warmup_s": warmup,
-        "measure_s": _MEASURE_S,
-        "cold_wall_s": round(cold_s, 3),
-        "warm_wall_s": round(warm_s, 3),
-        "speedup": round(speedup, 2),
-        "snapshot_bytes": snapshot.payload_size,
-        "variant": snapshot.variant,
-    }
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -255,8 +214,6 @@ def main(argv=None):
     print(f"calibration: {calib:,.0f} ops/s")
     print("engine scenarios:")
     engines = bench_engines(options.quick)
-    print("warm-start sweep:")
-    warm = bench_warmstart(options.quick)
 
     sha = benchlib.git_sha(root)
     date = benchlib.utc_date()
@@ -269,7 +226,7 @@ def main(argv=None):
     last_run = {
         "git_sha": sha, "date": date, "quick": options.quick,
         "calib_ops_per_sec": round(calib),
-        "engines": engines, "warmstart": warm,
+        "engines": engines,
     }
     if options.no_append or options.quick:
         # Quick rates are not comparable to full-scale baselines; print

@@ -41,7 +41,6 @@ from .key_server import (
     RemoteKeyEngine,
 )
 from .monitoring import Alert, GatewayMonitor
-from .observability import Span, Trace, TraceCollector
 from .onnode import FlowRecord, OnNodeProxy
 from .proxyless import (
     Eni,
@@ -125,10 +124,7 @@ __all__ = [
     "SessionAggregator",
     "ShardingError",
     "ShuffleSharder",
-    "Span",
     "Tenant",
-    "Trace",
-    "TraceCollector",
     "UpgradeReport",
     "TenantRegistry",
     "TenantService",

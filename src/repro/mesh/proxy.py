@@ -60,9 +60,6 @@ class ProxyTier:
                          bytes_out=bytes_out, bytes_in=bytes_in,
                          cpu_s=cpu_seconds)
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self.cpu.utilization(since)
-
     @property
     def cores(self) -> int:
         return self.cpu.cores

@@ -21,12 +21,7 @@ from .metrics import Counter, Summary, TimeSeries, cdf, percentile
 from .resources import CpuResource, Request, Resource, Store
 from .agenda import CalendarAgenda, HeapAgenda
 from .rng import derived_stream
-from .sim import (
-    EmptySchedule,
-    Simulator,
-    default_agenda_kind,
-    set_default_agenda_kind,
-)
+from .sim import EmptySchedule, Simulator
 
 __all__ = [
     "AllOf",
@@ -49,8 +44,6 @@ __all__ = [
     "TimeSeries",
     "Timeout",
     "cdf",
-    "default_agenda_kind",
     "derived_stream",
     "percentile",
-    "set_default_agenda_kind",
 ]

@@ -6,9 +6,10 @@ is unique, so comparisons never reach the last two fields. Two
 implementations share that contract:
 
 * :class:`HeapAgenda` — the reference: a plain ``heapq`` binary heap,
-  O(log n) push/pop. This is the structure the simulator used through
-  PR 2 and the oracle the equivalence tests compare against.
-* :class:`CalendarAgenda` — the production engine: a calendar queue
+  O(log n) push/pop. The simulator inlines the same heap for small
+  agendas; this class is the oracle the equivalence tests compare
+  against.
+* :class:`CalendarAgenda` — the fleet-scale engine: a calendar queue
   (R. Brown, CACM 1988) with amortized O(1) push/pop in the
   heavy-traffic regime, plus a sorted *spill list* for far-future
   entries (cert-rotation timers, daily-ops schedules) that would
@@ -47,10 +48,6 @@ Three details keep the structure honest at any scale:
   after the consumption point. Every such entry carries a ``(when,
   seq)`` key greater than everything already popped, so insertion
   order is exact.
-
-Both agendas are picklable; :meth:`CalendarAgenda.__getstate__` trims
-the consumed prefix of the open bucket so ``Simulator.fork()``
-snapshots carry only live entries.
 """
 
 from __future__ import annotations
@@ -351,27 +348,3 @@ class CalendarAgenda:
             self._spill_pos = 0
         else:
             self._spill_pos = index
-
-    # -- pickling ------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Snapshot without the consumed open-bucket prefix.
-
-        ``Simulator.fork()`` pickles the agenda; dragging along popped
-        entries would both bloat the payload and pin dead events.
-        """
-        state = {name: getattr(self, name) for name in self.__slots__}
-        live = self._open[self._pos:]
-        buckets = [list(bucket) for bucket in self._buckets]
-        if 0 <= self._cur < len(buckets):
-            buckets[self._cur] = live
-        state["_open"] = live
-        state["_pos"] = 0
-        state["_buckets"] = buckets
-        state["_bheap"] = list(self._bheap)
-        state["_spill"] = self._spill[self._spill_pos:]
-        state["_spill_pos"] = 0
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)

@@ -111,8 +111,9 @@ class CpuResource(Resource):
     """A multi-core CPU with busy-time accounting.
 
     ``cores`` maps to :attr:`capacity`. Each held slot is one busy core.
-    The busy-time integral lets callers compute average utilization over
-    arbitrary windows, which the paper's resource figures report.
+    The busy-time integral gives exact average utilization since
+    creation, and per-window utilization between ``mark()`` calls, which
+    the paper's resource figures report.
     """
 
     def __init__(self, sim: Simulator, cores: int = 1, name: str = "cpu"):
@@ -146,13 +147,11 @@ class CpuResource(Resource):
         """Record a measurement mark (for windowed utilization)."""
         self._window_marks.append((self.sim.now, self.busy_time()))
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Average utilization in [since, now] as a 0..1 fraction."""
-        horizon = self.sim.now - since
-        if horizon <= 0:
+    def utilization(self) -> float:
+        """Average utilization in [0, now] as a 0..1 fraction."""
+        if self.sim.now <= 0:
             return 0.0
-        busy_at_since = self._busy_at(since)
-        return (self.busy_time() - busy_at_since) / (horizon * self.cores)
+        return self.busy_time() / (self.sim.now * self.cores)
 
     def utilization_between_marks(self) -> List[Tuple[float, float]]:
         """Per-interval utilization between consecutive ``mark()`` calls."""
@@ -168,19 +167,6 @@ class CpuResource(Resource):
         with self.request() as claim:
             yield claim
             yield self.sim.timeout(service_time)
-
-    def _busy_at(self, when: float) -> float:
-        # Linear interpolation is exact when no transition happened in
-        # (when, last_change); good enough for windowed reporting.
-        if when <= 0:
-            return 0.0
-        if when >= self._last_change:
-            return self._busy_integral + self._level_since_last * (
-                when - self._last_change)
-        # Fall back to proportional estimate before the last transition.
-        if self._last_change == 0:
-            return 0.0
-        return self._busy_integral * (when / self._last_change)
 
 
 class Store:

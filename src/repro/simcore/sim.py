@@ -11,32 +11,24 @@ last two fields. ``call is None`` marks an ordinary event whose
 (``call(event)``) — the allocation-free path used for process
 bootstraps, late callbacks, and interrupts (see ``events.py``).
 
-Two interchangeable agenda engines (see ``agenda.py``) produce
-byte-identical event order:
+Two agenda engines (see ``agenda.py``) pop the same ``(when, seq)``
+order, so event order never depends on which one is running:
 
-* ``"calendar"`` — a self-resizing calendar queue with a sorted
-  far-future spill list: amortized O(1) push/pop, and the open bucket
-  is a pre-sorted list, so ``run()`` drains same-timestamp batches
-  (mesh config pushes, AVX-512 crypto batches) writing ``self.now``
-  once per distinct timestamp. Fastest in the heavy-traffic regime
-  (hundreds of thousands of pending events), where heapq's O(log n)
-  sifts dominate.
-* ``"heap"`` — the ``heapq`` reference implementation: C-implemented
-  push/pop that pure-Python bucket bookkeeping cannot beat while the
-  agenda is small. Kept as the oracle for the equivalence tests and
-  the benchmark baseline.
+* the ``heapq`` heap — C-implemented push/pop that pure-Python bucket
+  bookkeeping cannot beat while the agenda is small;
+* a self-resizing calendar queue with a sorted far-future spill list:
+  amortized O(1) push/pop, and the open bucket is a pre-sorted list, so
+  ``run()`` drains same-timestamp batches (mesh config pushes, AVX-512
+  crypto batches) writing ``self.now`` once per distinct timestamp.
+  Fastest at fleet scale (tens of thousands of pending events and
+  up), where heapq's O(log n) sifts dominate.
 
-The default is ``"auto"``: start on the heap engine and migrate —
-once, irreversibly, O(n log n) — to the calendar engine the moment the
-pending count crosses the fleet-scale threshold
-(``_AUTO_MIGRATE``). Because both engines pop the exact same ``(when,
-seq)`` order, the migration point is invisible in event order: light
-exhibits keep heapq's small-agenda speed, fleet-scale runs
-(ROADMAP item 1: O(10k) replicas, O(1M) sessions) get calendar
-throughput, and all three kinds replay identically.
-
-Pick per simulator (``Simulator(seed, agenda="heap")``), per process
-(:func:`set_default_agenda_kind`), or via ``REPRO_SIM_AGENDA``.
+Every simulator starts on the heap and migrates — once, irreversibly,
+O(n log n) — to the calendar queue the moment more than
+``_AUTO_MIGRATE`` entries are pending. The engine is therefore chosen
+only from what the run itself does: light testbed runs keep heapq's
+small-agenda speed, fleet-scale runs get calendar throughput, and the
+migration point is invisible in event order.
 
 ``run()`` inlines the event loop rather than calling :meth:`step` per
 event: the loop is the hottest code in the repository and the per-event
@@ -48,41 +40,28 @@ Fired :class:`Timeout` objects that nothing else references are
 recycled onto a per-simulator slab (``_timeout_slab``) and reused by
 the next ``timeout()`` call, so steady-state scheduling allocates
 nothing; a ``sys.getrefcount`` guard keeps any timeout the model still
-holds out of the slab. :meth:`fork` snapshots the whole simulator
-(clock + rng + agenda, slab and profiler excluded) so sweeps can warm
-up steady state once and fork per point (see ``repro.runtime``).
+holds out of the slab.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
-import pickle
 import random
 import sys
 from typing import Any, Generator, Optional
 
 from .agenda import CalendarAgenda
 from .hooks import new_profiler
-from .events import AllOf, AnyOf, Event, Process, SimulationError, Timeout
+from .events import AllOf, AnyOf, Event, Process, Timeout
 
-__all__ = [
-    "EmptySchedule",
-    "Simulator",
-    "default_agenda_kind",
-    "set_default_agenda_kind",
-]
+__all__ = ["EmptySchedule", "Simulator"]
 
-_AGENDA_KINDS = ("auto", "calendar", "heap")
-
-#: Process-wide default agenda engine; ``REPRO_SIM_AGENDA`` overrides
-#: (CI uses it to diff heap-vs-calendar exhibit output byte-for-byte).
-_default_kind = os.environ.get("REPRO_SIM_AGENDA", "auto")
-
-#: Pending-entry count at which an ``"auto"`` simulator migrates from
-#: the heap engine to the calendar engine. Below it the C heap wins on
-#: constant factors; above it heapq's O(log n) sifts lose to the
-#: calendar's amortized O(1) bucket ops (see BENCH_simcore.json).
+#: Pending-entry count above which a simulator migrates from the heap
+#: engine to the calendar engine. Below it the C heap wins on constant
+#: factors; above it heapq's O(log n) sifts lose to the calendar's
+#: amortized O(1) bucket ops (see BENCH_simcore.json). Tests and
+#: benchmarks force one engine by patching it (``inf``: heap forever;
+#: ``-1``: calendar from the first push).
 _AUTO_MIGRATE = 65_536
 
 #: Max recycled Timeout objects parked per simulator.
@@ -95,21 +74,6 @@ _SLAB_CAP = 4096
 # the open bucket, adding one. (Asserted empirically by the slab tests.)
 _RECYCLE_RC_HEAP = 2
 _RECYCLE_RC_CALENDAR = 3
-
-
-def default_agenda_kind() -> str:
-    """The agenda engine new :class:`Simulator` instances use."""
-    return _default_kind
-
-
-def set_default_agenda_kind(kind: str) -> str:
-    """Install ``kind`` as the process default; returns the previous."""
-    global _default_kind
-    if kind not in _AGENDA_KINDS:
-        raise ValueError(f"unknown agenda kind {kind!r}; "
-                         f"expected one of {_AGENDA_KINDS}")
-    previous, _default_kind = _default_kind, kind
-    return previous
 
 
 class EmptySchedule(Exception):
@@ -125,36 +89,20 @@ class Simulator:
         Seed for the simulator-owned :class:`random.Random`. Model code
         should draw all randomness from :attr:`rng` (or generators seeded
         from it) so runs are reproducible.
-    agenda:
-        Agenda engine: ``"auto"`` (default), ``"calendar"``, or
-        ``"heap"``. All three pop the exact same ``(when, seq)`` order;
-        ``"auto"`` starts on the heap engine and migrates to the
-        calendar engine if the pending count ever crosses the
-        fleet-scale threshold.
     """
 
-    def __init__(self, seed: Optional[int] = 0,
-                 agenda: Optional[str] = None):
+    def __init__(self, seed: Optional[int] = 0):
         self.now: float = 0.0
         #: The construction seed, kept so subsystems can derive their
         #: own independent streams (rng.derived_stream) — e.g. trace
         #: sampling — without consuming draws from :attr:`rng`.
         self.seed = seed
         self.rng = random.Random(seed)
-        kind = agenda if agenda is not None else _default_kind
-        if kind == "calendar":
-            self._agenda: Optional[CalendarAgenda] = CalendarAgenda()
-            self._heap: Optional[list] = None
-            self._push = self._agenda.push
-            self._auto = False
-        elif kind in ("heap", "auto"):
-            self._agenda = None
-            self._heap = []
-            self._push = None
-            self._auto = kind == "auto"
-        else:
-            raise ValueError(f"unknown agenda kind {kind!r}; "
-                             f"expected one of {_AGENDA_KINDS}")
+        #: The heap engine until ``_migrate`` swaps in the calendar
+        #: agenda (``_heap`` becomes None, ``_push`` its bound push).
+        self._heap: Optional[list] = []
+        self._agenda: Optional[CalendarAgenda] = None
+        self._push = None
         #: Total agenda entries ever scheduled — also the agenda
         #: tie-breaker. ``benchmarks`` read this as the processed-event
         #: count after a run drains the agenda.
@@ -170,16 +118,14 @@ class Simulator:
 
     @property
     def agenda_kind(self) -> str:
-        """The agenda engine currently running this simulator.
-
-        ``"auto"`` simulators report ``"heap"`` until (if ever) the
-        fleet-scale migration trips, then ``"calendar"``.
-        """
+        """The agenda engine currently running this simulator:
+        ``"heap"`` until (if ever) the fleet-scale migration trips,
+        then ``"calendar"``."""
         return "heap" if self._heap is not None else "calendar"
 
     # -- scheduling --------------------------------------------------------
     def _migrate(self) -> None:
-        """One-way heap → calendar migration (the ``"auto"`` trip point).
+        """One-way heap → calendar migration (the ``_AUTO_MIGRATE`` trip).
 
         The heap list, sorted, *is* a clean spill list: hand it to a
         fresh calendar agenda whose first ``_advance`` rebuilds and
@@ -210,7 +156,7 @@ class Simulator:
         else:
             heapq.heappush(heap,
                            (self.now + delay, self._sequence, None, event))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
+            if len(heap) > _AUTO_MIGRATE:
                 self._migrate()
 
     def _schedule_call(self, call, event: Any, delay: float = 0.0) -> None:
@@ -224,7 +170,7 @@ class Simulator:
         else:
             heapq.heappush(heap,
                            (self.now + delay, self._sequence, call, event))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
+            if len(heap) > _AUTO_MIGRATE:
                 self._migrate()
 
     def call_later(self, delay: float, call, arg: Any = None) -> None:
@@ -267,7 +213,7 @@ class Simulator:
         else:
             heapq.heappush(heap,
                            (self.now + delay, self._sequence, None, timeout))
-            if len(heap) > _AUTO_MIGRATE and self._auto:
+            if len(heap) > _AUTO_MIGRATE:
                 self._migrate()
         return timeout
 
@@ -324,8 +270,8 @@ class Simulator:
         if self.profiler is not None:
             # Profiled path: per-event step() so attribution stays in
             # one place; the loop overhead is noise next to the timers.
-            # Re-reads ``_heap`` every pass: an "auto" simulator may
-            # migrate engines under us.
+            # Re-reads ``_heap`` every pass: the simulator may migrate
+            # engines under us.
             while (self._heap if self._heap is not None
                    else len(self._agenda)):
                 if until is not None and self.peek() > until:
@@ -336,8 +282,8 @@ class Simulator:
                 if self._heap is not None:
                     self._run_heap(until)
                     if self._heap is None:
-                        # An "auto" simulator migrated mid-run; resume
-                        # on the calendar loop with the same limit.
+                        # The simulator migrated mid-run; resume on
+                        # the calendar loop with the same limit.
                         continue
                 else:
                     self._run_calendar(until)
@@ -349,7 +295,7 @@ class Simulator:
         """The inlined heapq event loop (the PR 2 reference engine).
 
         Returns when the heap is drained or the limit is passed — or
-        when an ``"auto"`` migration emptied the heap list mid-run (the
+        when a migration emptied the heap list mid-run (the
         caller re-dispatches onto the calendar loop).
         """
         heap = self._heap
@@ -451,42 +397,3 @@ class Simulator:
         if heap is not None:
             return heap[0][0] if heap else float("inf")
         return self._agenda.peek()
-
-    # -- snapshot / restore --------------------------------------------------
-    def snapshot(self) -> bytes:
-        """Serialize the full simulator state: clock, rng, and agenda.
-
-        Everything reachable from pending agenda entries (events,
-        callbacks, the model objects behind them) is captured, so a
-        warmed-up steady state can be snapshotted once and restored per
-        sweep point (see ``repro.runtime.warmstart``). The timeout slab
-        and any attached profiler are deliberately *not* part of the
-        snapshot.
-
-        Generator-driven processes cannot be pickled; snapshot-eligible
-        worlds must schedule work through callbacks and direct calls.
-        """
-        try:
-            return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-        except (TypeError, AttributeError, pickle.PicklingError) as exc:
-            raise SimulationError(
-                "Simulator.snapshot() requires a picklable world: "
-                "generator-driven processes cannot be snapshotted — "
-                "schedule via callbacks/direct calls instead "
-                f"(pickle said: {exc})") from exc
-
-    def fork(self) -> "Simulator":
-        """An independent deep copy of this simulator (via snapshot)."""
-        return pickle.loads(self.snapshot())
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["profiler"] = None       # profilers observe one process
-        state["_timeout_slab"] = []    # an allocator cache, not state
-        state.pop("_push", None)       # rebound on restore
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._push = self._agenda.push if self._agenda is not None else None
-        self.profiler = new_profiler()

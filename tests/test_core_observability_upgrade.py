@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import RollingUpgrade, Span, TraceCollector
+from repro.core import RollingUpgrade
 from repro.experiments.cloud_ops import build_production_gateway
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
+from repro.obs.trace import Span, TraceCollector
 from repro.simcore import Simulator
 
 

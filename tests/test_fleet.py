@@ -145,7 +145,7 @@ class TestQueueing:
 
 
 class TestFleetModel:
-    def test_warm_start_holds_equilibrium(self):
+    def test_starts_at_equilibrium_and_holds_it(self):
         sim, config, demand, model = small_world()
         model.start(300.0)
         sim.run(until=300.0)
@@ -159,7 +159,7 @@ class TestFleetModel:
         model.start(200.0)
         sim.run(until=200.0)
         counters = model.counters
-        # Warm-start seeding is part of the admitted ledger, so the
+        # Equilibrium seeding is part of the admitted ledger, so the
         # balance is exact from t=0: everything admitted is either
         # still active, departed normally, or disrupted by a fault.
         assert counters.admitted == pytest.approx(

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core import Span, TraceCollector
 from repro.experiments.base import ExperimentResult, Series, Table
 from repro.experiments.testbed import build_testbed
 from repro.mesh import HttpRequest
@@ -21,6 +20,7 @@ from repro.obs import (
     use_telemetry,
     write_run_artifacts,
 )
+from repro.obs.trace import Span, TraceCollector
 from repro.simcore import Simulator
 
 

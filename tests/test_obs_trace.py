@@ -114,7 +114,7 @@ class TestCausalModel:
 
 
 class TestCollectorMigration:
-    """The subsumed core.observability aggregates must survive."""
+    """Coverage and per-pod traffic aggregates survive ring eviction."""
 
     def test_pod_traffic_report_survives_eviction(self):
         collector = TraceCollector(max_traces=2)
@@ -133,12 +133,6 @@ class TestCollectorMigration:
         report = collector.coverage_report()
         assert report["full"] == 1      # evicted at full coverage
         assert report["partial"] == 1   # the live gateway-only trace
-
-    def test_legacy_shim_still_imports(self):
-        from repro.core import Span as CoreSpan
-        from repro.core.observability import TraceCollector as CoreCollector
-        assert CoreSpan is Span
-        assert CoreCollector is TraceCollector
 
 
 class TestAnalytics:

@@ -1,7 +1,6 @@
 """Agenda engines: heap-vs-calendar order equivalence, auto migration,
-spill/rebuild mechanics, snapshot/fork, and the timeout slab."""
+spill/rebuild mechanics, and the timeout slab."""
 
-import pickle
 import random
 
 import pytest
@@ -10,14 +9,28 @@ from repro.simcore import (
     CalendarAgenda,
     EmptySchedule,
     HeapAgenda,
-    SimulationError,
     Simulator,
     Timeout,
-    set_default_agenda_kind,
 )
 from repro.simcore import sim as simmod
 
-KINDS = ("heap", "calendar", "auto")
+#: Migration threshold that forces each engine: ``heap`` never
+#: migrates, ``calendar`` migrates on the first push, ``auto`` keeps
+#: the production threshold.
+MIGRATE_AT = {"heap": float("inf"), "calendar": -1,
+              "auto": simmod._AUTO_MIGRATE}
+KINDS = tuple(MIGRATE_AT)
+
+
+def _force_engine(monkeypatch, kind):
+    monkeypatch.setattr(simmod, "_AUTO_MIGRATE", MIGRATE_AT[kind])
+
+
+@pytest.fixture(params=KINDS)
+def kind(request, monkeypatch):
+    """Run the test once per engine, forced via the migration threshold."""
+    _force_engine(monkeypatch, request.param)
+    return request.param
 
 
 # ---------------------------------------------------------------------------
@@ -115,23 +128,6 @@ class TestAgendaEquivalence:
         with pytest.raises(ValueError):
             CalendarAgenda(nbuckets=0)
 
-    def test_pickle_mid_consumption(self):
-        rng = random.Random(11)
-        calendar = CalendarAgenda(nbuckets=8, target_occupancy=2.0)
-        reference = HeapAgenda()
-        for seq in range(400):
-            entry = (rng.random() * 10.0, seq, None, None)
-            calendar.push(entry)
-            reference.push(entry)
-        for _ in range(150):
-            assert calendar.pop() == reference.pop()
-        restored = pickle.loads(pickle.dumps(calendar))
-        assert len(restored) == len(reference)
-        while len(reference):
-            expected = reference.pop()
-            assert calendar.pop() == expected
-            assert restored.pop() == expected
-
 
 # ---------------------------------------------------------------------------
 # sim-level: every engine kind runs the same workload identically.
@@ -164,8 +160,8 @@ def _mixed_workload(sim, log):
     sim.timeout(1.0).add_callback(chain)
 
 
-def _run_workload(kind):
-    sim = Simulator(seed=1, agenda=kind)
+def _run_workload():
+    sim = Simulator(seed=1)
     log = []
     _mixed_workload(sim, log)
     sim.run(until=30.0)
@@ -173,42 +169,37 @@ def _run_workload(kind):
 
 
 class TestEngineEquivalence:
-    def test_all_kinds_identical_logs(self):
-        sims_and_logs = {kind: _run_workload(kind) for kind in KINDS}
+    def test_all_kinds_identical_logs(self, monkeypatch):
+        sims_and_logs = {}
+        for kind in KINDS:
+            _force_engine(monkeypatch, kind)
+            sims_and_logs[kind] = _run_workload()
         heap_log = sims_and_logs["heap"][1]
         assert len(heap_log) > 500
         for kind in ("calendar", "auto"):
             assert sims_and_logs[kind][1] == heap_log
         for kind, (sim, _) in sims_and_logs.items():
             assert sim.now == 30.0
+        # The forced engines really ran; the light workload stays on
+        # the heap under the production threshold.
+        assert sims_and_logs["heap"][0].agenda_kind == "heap"
+        assert sims_and_logs["calendar"][0].agenda_kind == "calendar"
+        assert sims_and_logs["auto"][0].agenda_kind == "heap"
 
     def test_auto_migrates_and_stays_identical(self, monkeypatch):
         monkeypatch.setattr(simmod, "_AUTO_MIGRATE", 40)
-        sim, log = _run_workload("auto")
+        sim, log = _run_workload()
         assert sim.agenda_kind == "calendar"  # the trip point fired
         assert sim._heap is None
-        assert log == _run_workload("heap")[1]
+        _force_engine(monkeypatch, "heap")
+        assert log == _run_workload()[1]
 
     def test_auto_starts_on_heap(self):
-        sim = Simulator(agenda="auto")
+        sim = Simulator()
         assert sim.agenda_kind == "heap"
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(agenda="btree")
-        with pytest.raises(ValueError):
-            set_default_agenda_kind("btree")
-
-    def test_default_kind_roundtrip(self):
-        previous = set_default_agenda_kind("calendar")
-        try:
-            assert Simulator().agenda_kind == "calendar"
-        finally:
-            set_default_agenda_kind(previous)
-
-    @pytest.mark.parametrize("kind", KINDS)
     def test_run_until_boundary(self, kind):
-        sim = Simulator(agenda=kind)
+        sim = Simulator()
         fired = []
         sim.timeout(1.0, "a").add_callback(lambda ev: fired.append(ev.value))
         sim.timeout(2.0, "b").add_callback(lambda ev: fired.append(ev.value))
@@ -221,9 +212,8 @@ class TestEngineEquivalence:
         sim.run()
         assert fired == ["a", "b", "c"]
 
-    @pytest.mark.parametrize("kind", KINDS)
     def test_step_and_peek(self, kind):
-        sim = Simulator(agenda=kind)
+        sim = Simulator()
         fired = []
         for delay in (2.0, 1.0, 1.0):
             sim.timeout(delay, delay).add_callback(
@@ -240,73 +230,6 @@ class TestEngineEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# snapshot / fork.
-
-
-class _Ticker:
-    """A picklable re-arming timer (module level so pickle finds it)."""
-
-    def __init__(self, sim, rng, value):
-        self.sim = sim
-        self.rng = rng
-        self.value = value
-        self.fired = []
-        sim.timeout(rng.random(), value).add_callback(self.fire)
-
-    def fire(self, event):
-        self.fired.append((self.sim.now, event.value))
-        self.sim.timeout(0.5 + self.rng.random(),
-                         self.value).add_callback(self.fire)
-
-
-def _ticker_world(kind="auto"):
-    sim = Simulator(seed=3, agenda=kind)
-    rng = random.Random(17)
-    sim._tickers = [_Ticker(sim, rng, index) for index in range(30)]
-    return sim
-
-
-class TestSnapshotFork:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_fork_is_deterministic(self, kind):
-        sim = _ticker_world(kind)
-        sim.run(until=5.0)
-        fork = sim.fork()
-        assert fork.now == 5.0
-        sim.run(until=12.0)
-        fork.run(until=12.0)
-        assert ([t.fired for t in fork._tickers]
-                == [t.fired for t in sim._tickers])
-
-    def test_fork_diverges_after_restore(self):
-        sim = _ticker_world()
-        sim.run(until=3.0)
-        fork = sim.fork()
-        fork.run(until=6.0)
-        before = [list(t.fired) for t in sim._tickers]
-        assert [t.fired for t in sim._tickers] == before  # original untouched
-        assert sum(len(t.fired) for t in fork._tickers) > \
-            sum(len(f) for f in before)
-
-    def test_generator_world_is_not_snapshotable(self):
-        sim = Simulator(seed=0)
-
-        def proc():
-            yield sim.timeout(1.0)
-
-        sim.process(proc())
-        with pytest.raises(SimulationError, match="picklable world"):
-            sim.snapshot()
-
-    def test_snapshot_drops_slab_and_profiler(self):
-        sim = _ticker_world()
-        sim.run(until=10.0)
-        assert sim._timeout_slab  # warm: recycled timeouts present
-        fork = sim.fork()
-        assert fork._timeout_slab == []
-
-
-# ---------------------------------------------------------------------------
 # the timeout slab and the shared constructor (satellite of the engine PR).
 
 
@@ -319,11 +242,10 @@ class TestTimeoutSlab:
         public = Timeout(sim_a, 2.5, "payload")
         fast = sim_b.timeout(2.5, "payload")
         for name in _TIMEOUT_FIELDS:
-            assert (getattr(public, name) is getattr(public, name))
-        assert public.delay == fast.delay == 2.5
-        assert public._value == fast._value == "payload"
-        assert public._ok is fast._ok is True
-        assert public._defused is fast._defused is False
+            if name != "sim":
+                assert getattr(public, name) == getattr(fast, name), name
+        assert (fast.delay, fast._value, fast._ok, fast._defused) == (
+            2.5, "payload", True, False)
         assert public.callbacks == fast.callbacks == []
         assert public.sim is sim_a and fast.sim is sim_b
         # Both paths actually scheduled the event.
@@ -346,9 +268,10 @@ class TestTimeoutSlab:
         assert reused._value == "new"
         assert reused.delay == 2.0
 
-    @pytest.mark.parametrize("kind", ("heap", "calendar"))
-    def test_slab_fills_on_both_engines(self, kind):
-        sim = Simulator(seed=0, agenda=kind)
+    @pytest.mark.parametrize("engine", ("heap", "calendar"))
+    def test_slab_fills_on_both_engines(self, monkeypatch, engine):
+        _force_engine(monkeypatch, engine)
+        sim = Simulator(seed=0)
         for index in range(20):
             sim.timeout(float(index) + 1.0)
         sim.run()
