@@ -1,29 +1,22 @@
-"""Simcore engine benchmark: calendar-queue agenda vs the heapq oracle.
+"""Simcore engine benchmark: events/sec of the heap agenda.
 
 Plain script (not pytest — ``testpaths`` keeps it out of tier-1)::
 
     PYTHONPATH=src python benchmarks/bench_simcore.py
     PYTHONPATH=src python benchmarks/bench_simcore.py --quick
 
-Four engine scenarios, each run on both agenda engines with a
-repeat-and-take-best loop. Each engine is forced the way the tests force
-it, by patching the simulator's migration threshold (``inf`` keeps the
-heap, ``-1`` migrates to the calendar on the first push):
+Four engine scenarios, each timed with a repeat-and-take-best loop:
 
-* ``heavy_traffic`` — the fleet-scale tier (ROADMAP item 1): hundreds
-  of thousands of concurrent sessions rescheduling jittered ~1s
-  periods. The regime the calendar queue exists for; the tentpole
-  target is the calendar engine >= +30% events/sec over heapq here.
+* ``heavy_traffic`` — fleet-scale session churn: hundreds of thousands
+  of concurrent sessions rescheduling jittered ~1s periods, so the
+  agenda holds ~400k pending timers and heapq's O(log n) sifts show.
 * ``same_instant_bursts`` — synchronized config-push / AVX-512 crypto
-  batch fan-outs: hundreds of events sharing a timestamp, exercising
-  batched same-time draining.
+  batch fan-outs: hundreds of events sharing a timestamp, ordered by
+  their sequence tie-breaker.
 * ``timeout_chain`` — one process advancing through timeouts; the
-  minimum-agenda case where C heapq wins on constant factors. This is
-  precisely why the engine choice is adaptive: a simulator stays on
-  the heap below the migration threshold, so light workloads never
-  pay the calendar's pure-Python bookkeeping.
+  minimum-agenda case, dominated by per-event loop overhead.
 * ``far_future_mix`` — steady traffic plus cert-rotation-style timers
-  far past the horizon, exercising the sorted spill path.
+  far past the horizon, which sit deep in the heap for the whole run.
 
 Appends to the committed ``BENCH_simcore.json`` perf trajectory (see
 ``benchlib``); the CI ``perf-gate`` job compares fresh normalized rates
@@ -31,7 +24,6 @@ against the latest committed entries and fails on >10% regression.
 """
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -42,24 +34,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import benchlib  # noqa: E402
 from repro.simcore import Simulator  # noqa: E402
-from repro.simcore import sim as simmod  # noqa: E402
-
-#: Migration threshold that forces each engine.
-ENGINES = {"heap": float("inf"), "calendar": -1}
-
-
-def _on_engine(scenario):
-    """Make ``scenario(scale)`` callable as ``(engine, scale)``: the run
-    happens with ``engine`` forced through the migration threshold."""
-    @functools.wraps(scenario)
-    def run(engine, scale):
-        default = simmod._AUTO_MIGRATE
-        simmod._AUTO_MIGRATE = ENGINES[engine]
-        try:
-            return scenario(scale)
-        finally:
-            simmod._AUTO_MIGRATE = default
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +58,6 @@ class _Session:
         self.sim.timeout(delay).add_callback(self.fire)
 
 
-@_on_engine
 def _scn_heavy_traffic(scale):
     nsessions = int(400_000 * scale)
     sim = Simulator(seed=7)
@@ -118,7 +91,6 @@ class _Burst:
             self._arm(1.0)
 
 
-@_on_engine
 def _scn_same_instant_bursts(scale):
     rounds, fan = int(800 * scale), 500
     sim = Simulator(seed=7)
@@ -129,7 +101,6 @@ def _scn_same_instant_bursts(scale):
     return burst.fired, elapsed
 
 
-@_on_engine
 def _scn_timeout_chain(scale):
     n = int(400_000 * scale)
     sim = Simulator(seed=7)
@@ -145,7 +116,6 @@ def _scn_timeout_chain(scale):
     return sim._sequence, elapsed
 
 
-@_on_engine
 def _scn_far_future_mix(scale):
     nsessions = int(50_000 * scale)
     ntimers = int(20_000 * scale)
@@ -170,29 +140,17 @@ SCENARIOS = {
 }
 
 
-def bench_engines(quick):
+def bench_scenarios(quick):
     scale = 0.25 if quick else 1.0
     repeats = 2 if quick else 3
     out = {}
     for name, scenario in SCENARIOS.items():
-        # Interleave engines within each repeat so noisy-neighbor
-        # slowdowns hit both engines evenly instead of biasing
-        # whichever ran second.
-        best = dict.fromkeys(ENGINES, 0.0)
-        events = dict.fromkeys(ENGINES, 0)
+        best = 0.0
         for _ in range(repeats):
-            for engine in ENGINES:
-                events[engine], elapsed = scenario(engine, scale)
-                best[engine] = max(best[engine], events[engine] / elapsed)
-        rates = {engine: {"events_per_sec": round(best[engine]),
-                          "events": events[engine]}
-                 for engine in ENGINES}
-        ratio = (rates["calendar"]["events_per_sec"]
-                 / rates["heap"]["events_per_sec"])
-        out[name] = {**rates, "calendar_vs_heap": round(ratio, 3)}
-        print(f"  {name}: heap {rates['heap']['events_per_sec']:,} ev/s, "
-              f"calendar {rates['calendar']['events_per_sec']:,} ev/s "
-              f"({ratio:.2f}x)")
+            events, elapsed = scenario(scale)
+            best = max(best, events / elapsed)
+        out[name] = {"events_per_sec": round(best), "events": events}
+        print(f"  {name}: {out[name]['events_per_sec']:,} ev/s")
     return out
 
 
@@ -213,20 +171,20 @@ def main(argv=None):
     calib = benchlib.calibrate()
     print(f"calibration: {calib:,.0f} ops/s")
     print("engine scenarios:")
-    engines = bench_engines(options.quick)
+    scenarios = bench_scenarios(options.quick)
 
     sha = benchlib.git_sha(root)
     date = benchlib.utc_date()
     entries = [
-        {"git_sha": sha, "date": date, "scenario": f"{name}/calendar",
-         "events_per_sec": result["calendar"]["events_per_sec"],
+        {"git_sha": sha, "date": date, "scenario": name,
+         "events_per_sec": result["events_per_sec"],
          "calib_ops_per_sec": round(calib)}
-        for name, result in engines.items()
+        for name, result in scenarios.items()
     ]
     last_run = {
         "git_sha": sha, "date": date, "quick": options.quick,
         "calib_ops_per_sec": round(calib),
-        "engines": engines,
+        "scenarios": scenarios,
     }
     if options.no_append or options.quick:
         # Quick rates are not comparable to full-scale baselines; print

@@ -49,16 +49,15 @@ def gate_checks(repeats):
     sim_baselines = benchlib.baseline_rates(
         os.path.join(root, "BENCH_simcore.json"))
     for name, scenario in bench_simcore.SCENARIOS.items():
-        key = f"{name}/calendar"
-        baseline = sim_baselines.get(key)
+        baseline = sim_baselines.get(name)
         if baseline is None:
-            print(f"  {key}: no committed baseline, skipped")
+            print(f"  {name}: no committed baseline, skipped")
             continue
         best = 0.0
         for _ in range(repeats):
-            events, elapsed = scenario("calendar", 1.0)
+            events, elapsed = scenario(1.0)
             best = max(best, events / elapsed)
-        yield key, best, baseline
+        yield name, best, baseline
 
     # bench_runtime, bench_obs, and bench_fleet all expose the same
     # (name, rate_fn, full_scale_arg) GATE_SCENARIOS shape.

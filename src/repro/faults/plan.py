@@ -28,6 +28,7 @@ first backend" names the same *role* in every run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -88,6 +89,13 @@ class Fault:
             raise FaultPlanError(
                 f"unknown fault kind {self.kind!r}; known: "
                 + ", ".join(FAULT_KINDS))
+        # ``json.loads`` parses NaN/Infinity; a NaN time would stall the
+        # simulator agenda, so every number must be finite.
+        for name in ("at", "duration_s", "param"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FaultPlanError(
+                    f"{self.kind}: {name} must be finite, got {value}")
         if self.at < 0:
             raise FaultPlanError(
                 f"{self.kind}: fault time must be >= 0, got {self.at}")
@@ -148,7 +156,10 @@ class Fault:
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FaultPlanError(f"fault {name!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a huge JSON integer: rejected as non-finite
+        return float("inf")
 
 
 @dataclass(frozen=True)

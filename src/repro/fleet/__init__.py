@@ -16,7 +16,7 @@ flows:
   both tiers;
 * :mod:`.model` — the fluid session-flow integrator, stepped as
   direct calls on the ordinary :class:`~repro.simcore.Simulator`
-  agenda (the calendar queue carries it);
+  agenda;
 * :mod:`.scaling` — aggregate Reuse-vs-New shard growth with the
   paper's Table 4 timing distributions;
 * :mod:`.faults` — the topology slice of :class:`~repro.faults.plan.

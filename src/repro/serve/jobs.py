@@ -26,6 +26,7 @@ real time).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -187,7 +188,14 @@ class JobSpec:
 def _number(value: object, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise JobSpecError(f"{name} must be a number")
-    return float(value)
+    # ``json.loads`` parses NaN/Infinity; a NaN timeout never expires.
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")
+    if not math.isfinite(number):
+        raise JobSpecError(f"{name} must be finite, got {value}")
+    return number
 
 
 def _validate_faults(value: object, kind: str) -> str:

@@ -19,19 +19,16 @@ from .events import (
 )
 from .metrics import Counter, Summary, TimeSeries, cdf, percentile
 from .resources import CpuResource, Request, Resource, Store
-from .agenda import CalendarAgenda, HeapAgenda
 from .rng import derived_stream
 from .sim import EmptySchedule, Simulator
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarAgenda",
     "Counter",
     "CpuResource",
     "EmptySchedule",
     "Event",
-    "HeapAgenda",
     "Interrupt",
     "PENDING",
     "Process",

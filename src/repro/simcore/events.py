@@ -202,14 +202,8 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __new__(cls, sim: Optional["Simulator"] = None, delay: float = 0.0,
+    def __new__(cls, sim: "Simulator", delay: float = 0.0,
                 value: Any = None):
-        # Pickle calls this with no args and gets a bare instance;
-        # every live construction routes through ``_acquire``.
-        if sim is None:
-            timeout = object.__new__(cls)
-            timeout.callbacks = []
-            return timeout
         return cls._acquire(sim, delay, value)
 
     @classmethod
@@ -222,8 +216,8 @@ class Timeout(Event):
         state, shared by ``Timeout(sim, d)`` and the
         ``Simulator.timeout()`` fast path. Does not schedule.
         """
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # ``not >=`` also rejects NaN
+            raise ValueError(f"invalid timeout delay: {delay}")
         slab = sim._timeout_slab
         if slab and cls is Timeout:
             timeout = slab.pop()  # callbacks: empty list, by invariant
@@ -237,12 +231,11 @@ class Timeout(Event):
         timeout.delay = delay
         return timeout
 
-    def __init__(self, sim: Optional["Simulator"] = None,
-                 delay: float = 0.0, value: Any = None):
+    def __init__(self, sim: "Simulator", delay: float = 0.0,
+                 value: Any = None):
         # ``__new__`` (via ``_acquire``) already set the field state;
         # all that is left is to enter the agenda.
-        if sim is not None:
-            sim._schedule(self, delay)
+        sim._schedule(self, delay)
 
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         raise SimulationError("Timeout events trigger themselves")

@@ -11,24 +11,9 @@ last two fields. ``call is None`` marks an ordinary event whose
 (``call(event)``) — the allocation-free path used for process
 bootstraps, late callbacks, and interrupts (see ``events.py``).
 
-Two agenda engines (see ``agenda.py``) pop the same ``(when, seq)``
-order, so event order never depends on which one is running:
-
-* the ``heapq`` heap — C-implemented push/pop that pure-Python bucket
-  bookkeeping cannot beat while the agenda is small;
-* a self-resizing calendar queue with a sorted far-future spill list:
-  amortized O(1) push/pop, and the open bucket is a pre-sorted list, so
-  ``run()`` drains same-timestamp batches (mesh config pushes, AVX-512
-  crypto batches) writing ``self.now`` once per distinct timestamp.
-  Fastest at fleet scale (tens of thousands of pending events and
-  up), where heapq's O(log n) sifts dominate.
-
-Every simulator starts on the heap and migrates — once, irreversibly,
-O(n log n) — to the calendar queue the moment more than
-``_AUTO_MIGRATE`` entries are pending. The engine is therefore chosen
-only from what the run itself does: light testbed runs keep heapq's
-small-agenda speed, fleet-scale runs get calendar throughput, and the
-migration point is invisible in event order.
+The agenda is a plain ``heapq`` list. Every entry's key is its
+``(when, seq)`` prefix, so the pop order is exact and total, and event
+order is a pure function of the model and its seed.
 
 ``run()`` inlines the event loop rather than calling :meth:`step` per
 event: the loop is the hottest code in the repository and the per-event
@@ -50,30 +35,19 @@ import random
 import sys
 from typing import Any, Generator, Optional
 
-from .agenda import CalendarAgenda
 from .hooks import new_profiler
 from .events import AllOf, AnyOf, Event, Process, Timeout
 
 __all__ = ["EmptySchedule", "Simulator"]
 
-#: Pending-entry count above which a simulator migrates from the heap
-#: engine to the calendar engine. Below it the C heap wins on constant
-#: factors; above it heapq's O(log n) sifts lose to the calendar's
-#: amortized O(1) bucket ops (see BENCH_simcore.json). Tests and
-#: benchmarks force one engine by patching it (``inf``: heap forever;
-#: ``-1``: calendar from the first push).
-_AUTO_MIGRATE = 65_536
-
 #: Max recycled Timeout objects parked per simulator.
 _SLAB_CAP = 4096
 
-# ``sys.getrefcount(event)`` at the recycle checkpoints when *nothing
-# outside the loop* references the event. Heap loop: the popped tuple
-# was freed by unpacking, so refs = the loop local + getrefcount's
-# argument. Calendar loop: the consumed entry tuple is still parked in
-# the open bucket, adding one. (Asserted empirically by the slab tests.)
-_RECYCLE_RC_HEAP = 2
-_RECYCLE_RC_CALENDAR = 3
+# ``sys.getrefcount(event)`` at the recycle checkpoint when *nothing
+# outside the loop* references the event: the popped tuple was freed by
+# unpacking, so refs = the loop local + getrefcount's argument.
+# (Asserted empirically by the slab tests.)
+_RECYCLE_RC = 2
 
 
 class EmptySchedule(Exception):
@@ -98,11 +72,8 @@ class Simulator:
         #: sampling — without consuming draws from :attr:`rng`.
         self.seed = seed
         self.rng = random.Random(seed)
-        #: The heap engine until ``_migrate`` swaps in the calendar
-        #: agenda (``_heap`` becomes None, ``_push`` its bound push).
-        self._heap: Optional[list] = []
-        self._agenda: Optional[CalendarAgenda] = None
-        self._push = None
+        #: The agenda: a ``heapq`` list of ``(when, seq, call, event)``.
+        self._heap: list = []
         #: Total agenda entries ever scheduled — also the agenda
         #: tie-breaker. ``benchmarks`` read this as the processed-event
         #: count after a run drains the agenda.
@@ -118,60 +89,27 @@ class Simulator:
 
     @property
     def agenda_kind(self) -> str:
-        """The agenda engine currently running this simulator:
-        ``"heap"`` until (if ever) the fleet-scale migration trips,
-        then ``"calendar"``."""
-        return "heap" if self._heap is not None else "calendar"
+        """The agenda engine running this simulator: always ``"heap"``."""
+        return "heap"
 
     # -- scheduling --------------------------------------------------------
-    def _migrate(self) -> None:
-        """One-way heap → calendar migration (the ``_AUTO_MIGRATE`` trip).
-
-        The heap list, sorted, *is* a clean spill list: hand it to a
-        fresh calendar agenda whose first ``_advance`` rebuilds and
-        tunes the window from the full pending distribution. Event
-        order is unchanged — both engines pop the same total order —
-        so the migration point is invisible to models.
-        """
-        agenda = CalendarAgenda()
-        heap = self._heap
-        heap.sort()
-        agenda._spill = heap[:]
-        agenda._size = len(heap)
-        agenda.spilled = len(heap)
-        # Empty the old list in place: a running ``_run_heap`` loop
-        # holds it as a local and uses emptiness as its exit signal.
-        del heap[:]
-        self._heap = None
-        self._agenda = agenda
-        self._push = agenda.push
-
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay}")
+        # ``not >=`` rather than ``<`` also rejects NaN, which compares
+        # false both ways: at the top of the heap it would end ``run()``
+        # early with every later entry silently dropped.
+        if not delay >= 0:
+            raise ValueError(f"invalid delay (negative or NaN): {delay}")
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, None, event))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, None, event))
-            if len(heap) > _AUTO_MIGRATE:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, None, event))
 
     def _schedule_call(self, call, event: Any, delay: float = 0.0) -> None:
         """Schedule ``call(event)`` — no Event allocated, nothing drained."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past: delay={delay}")
+        if not delay >= 0:
+            raise ValueError(f"invalid delay (negative or NaN): {delay}")
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, call, event))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, call, event))
-            if len(heap) > _AUTO_MIGRATE:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, call, event))
 
     def call_later(self, delay: float, call, arg: Any = None) -> None:
         """Schedule ``call(arg)`` at ``now + delay`` on the direct-call path.
@@ -181,8 +119,8 @@ class Simulator:
         loop invokes ``call(arg)`` directly when the entry fires. This
         is the right primitive for fixed-step model updates (the fluid
         tier in ``repro.fleet`` schedules every flow step through it)
-        and other fire-and-forget callbacks: entries are plain 4-tuples,
-        so the calendar agenda batches and drains them at full speed.
+        and other fire-and-forget callbacks: entries are plain 4-tuples
+        that the loop drains without touching an Event.
 
         Callbacks fire in ``(when, seq)`` order like everything else;
         exceptions propagate out of :meth:`run`/:meth:`step`. Unlike
@@ -207,14 +145,8 @@ class Simulator:
         """
         timeout = Timeout._acquire(self, delay, value)
         self._sequence += 1
-        heap = self._heap
-        if heap is None:
-            self._push((self.now + delay, self._sequence, None, timeout))
-        else:
-            heapq.heappush(heap,
-                           (self.now + delay, self._sequence, None, timeout))
-            if len(heap) > _AUTO_MIGRATE:
-                self._migrate()
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._sequence, None, timeout))
         return timeout
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -232,15 +164,9 @@ class Simulator:
     # -- execution -----------------------------------------------------------
     def step(self) -> None:
         """Process the single next entry on the agenda."""
-        if self._heap is not None:
-            if not self._heap:
-                raise EmptySchedule()
-            when, _seq, call, event = heapq.heappop(self._heap)
-        else:
-            try:
-                when, _seq, call, event = self._agenda.pop()
-            except IndexError:
-                raise EmptySchedule() from None
+        if not self._heap:
+            raise EmptySchedule()
+        when, _seq, call, event = heapq.heappop(self._heap)
         if call is not None:
             if self.profiler is not None:
                 self.profiler.record_call(self, when, call, event)
@@ -265,135 +191,47 @@ class Simulator:
         ``until`` even if the last event fires earlier, so utilization
         windows line up with experiment horizons.
         """
-        if until is not None and until < self.now:
-            raise ValueError(f"until={until} is in the past (now={self.now})")
+        if until is not None and not until >= self.now:
+            raise ValueError(
+                f"until={until} is in the past or NaN (now={self.now})")
+        heap = self._heap
+        limit = float("inf") if until is None else until
         if self.profiler is not None:
             # Profiled path: per-event step() so attribution stays in
             # one place; the loop overhead is noise next to the timers.
-            # Re-reads ``_heap`` every pass: the simulator may migrate
-            # engines under us.
-            while (self._heap if self._heap is not None
-                   else len(self._agenda)):
-                if until is not None and self.peek() > until:
-                    break
+            while heap and heap[0][0] <= limit:
                 self.step()
         else:
-            while True:
-                if self._heap is not None:
-                    self._run_heap(until)
-                    if self._heap is None:
-                        # The simulator migrated mid-run; resume on
-                        # the calendar loop with the same limit.
-                        continue
-                else:
-                    self._run_calendar(until)
-                break
+            slab = self._timeout_slab
+            getrefcount = sys.getrefcount
+            pop = heapq.heappop
+            while heap and heap[0][0] <= limit:
+                when, _seq, call, event = pop(heap)
+                self.now = when
+                if call is not None:
+                    call(event)
+                    continue
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    raise event._value
+                # Recycle a fired timeout nothing else references: the
+                # refcount guard keeps model-held timeouts (and their
+                # values) out of the slab, and the drained callbacks
+                # list is cleared and reattached so a reused object can
+                # never expose stale callbacks.
+                if event.__class__ is Timeout and \
+                        getrefcount(event) == _RECYCLE_RC and \
+                        len(slab) < _SLAB_CAP:
+                    del callbacks[:]
+                    event.callbacks = callbacks
+                    event._value = None
+                    slab.append(event)
         if until is not None:
             self.now = until
-
-    def _run_heap(self, until: Optional[float]) -> None:
-        """The inlined heapq event loop (the PR 2 reference engine).
-
-        Returns when the heap is drained or the limit is passed — or
-        when a migration emptied the heap list mid-run (the
-        caller re-dispatches onto the calendar loop).
-        """
-        heap = self._heap
-        limit = float("inf") if until is None else until
-        slab = self._timeout_slab
-        getrefcount = sys.getrefcount
-        pop = heapq.heappop
-        while heap and heap[0][0] <= limit:
-            when, _seq, call, event = pop(heap)
-            self.now = when
-            if call is not None:
-                call(event)
-                continue
-            callbacks, event.callbacks = event.callbacks, None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            # Recycle a fired timeout nothing else references: the
-            # refcount guard keeps model-held timeouts (and their
-            # values) out of the slab, and the drained callbacks list
-            # is cleared and reattached so a reused object can never
-            # expose stale callbacks.
-            if event.__class__ is Timeout and \
-                    getrefcount(event) == _RECYCLE_RC_HEAP and \
-                    len(slab) < _SLAB_CAP:
-                del callbacks[:]
-                event.callbacks = callbacks
-                event._value = None
-                slab.append(event)
-
-    def _run_calendar(self, until: Optional[float]) -> None:
-        """The calendar-queue event loop with batched same-time firing.
-
-        The open bucket is a pre-sorted list consumed by index, so
-        entries sharing a timestamp are adjacent: the loop writes
-        ``self.now`` once and checks ``until`` once per *distinct*
-        timestamp, then drains the whole batch. The agenda's cursor
-        (``_pos``/``_size``) is committed once per batch (try/finally,
-        so exceptions leave it consistent), not per event; pushes from
-        model callbacks stay correct regardless (``CalendarAgenda.push``
-        keys exceed every entry already consumed, so a stale ``lo``
-        bound only widens ``insort``'s search), but model callbacks must
-        not re-entrantly call ``step()``/``peek()`` mid-drain.
-        """
-        agenda = self._agenda
-        limit = float("inf") if until is None else until
-        slab = self._timeout_slab
-        getrefcount = sys.getrefcount
-        while True:
-            open_ = agenda._open
-            pos = agenda._pos
-            if pos >= len(open_):
-                if not agenda._advance():
-                    break
-                continue
-            when = open_[pos][0]
-            if when > limit:
-                break
-            self.now = when
-            start = pos
-            try:
-                while True:
-                    entry = open_[pos]
-                    pos += 1
-                    call = entry[2]
-                    event = entry[3]
-                    if call is not None:
-                        call(event)
-                    else:
-                        callbacks, event.callbacks = event.callbacks, None
-                        for callback in callbacks:
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise event._value
-                        # Same recycle guard as the heap loop, one count
-                        # higher: the consumed entry tuple still parked
-                        # in the open bucket holds one extra reference.
-                        if event.__class__ is Timeout and \
-                                getrefcount(event) == _RECYCLE_RC_CALENDAR \
-                                and len(slab) < _SLAB_CAP:
-                            del callbacks[:]
-                            event.callbacks = callbacks
-                            event._value = None
-                            slab.append(event)
-                    # Zero-delay pushes insort into the open bucket at
-                    # >= pos (their keys exceed everything consumed),
-                    # so the live length re-check picks them up.
-                    if pos < len(open_) and open_[pos][0] == when:
-                        continue
-                    break
-            finally:
-                agenda._pos = pos
-                agenda._size -= pos - start
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         heap = self._heap
-        if heap is not None:
-            return heap[0][0] if heap else float("inf")
-        return self._agenda.peek()
+        return heap[0][0] if heap else float("inf")

@@ -56,6 +56,17 @@ class TestFaultPlan:
         with pytest.raises(FaultPlanError, match="duration_s"):
             Fault(kind="az_crash", at=1.0, target="az1", duration_s=0.0)
 
+    @pytest.mark.parametrize("field", ["at", "duration_s", "param"])
+    @pytest.mark.parametrize("value", [
+        "NaN", "Infinity", "-Infinity",
+        pytest.param("1" + "0" * 400, id="huge-int")])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # json.loads accepts these literals, so plan JSON can carry them.
+        entry = json.loads(f'{{"kind": "controlplane_push_delay", '
+                           f'"param": 1.0, "{field}": {value}}}')
+        with pytest.raises(FaultPlanError, match="must be finite"):
+            FaultPlan.from_json([entry])
+
     def test_targeted_kinds_need_targets(self):
         with pytest.raises(FaultPlanError, match="needs a target"):
             Fault(kind="backend_crash")

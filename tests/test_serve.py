@@ -108,6 +108,16 @@ class TestJobSpec:
         with pytest.raises(JobSpecError):
             JobSpec.from_payload({"kind": "banana"})
 
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), pytest.param(10 ** 400, id="huge-int")])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(JobSpecError, match="must be finite"):
+            JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
+                                  "timeout_s": bad})
+        with pytest.raises(JobSpecError, match="must be finite"):
+            JobSpec.from_payload({"kind": "probe", "probe": "ok",
+                                  "probe_arg": bad})
+
     def test_dedupe_key_ignores_priority(self):
         low = JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17"})
         high = JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
@@ -137,9 +147,11 @@ class TestJobSpec:
         with pytest.raises(JobSpecError, match="not valid JSON"):
             JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
                                   "faults": "{nope"})
-        with pytest.raises(JobSpecError, match="invalid fault plan"):
-            JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
-                                  "faults": [{"kind": "meteor_strike"}]})
+        for junk in ([{"kind": "meteor_strike"}],
+                     '[{"kind": "az_crash", "target": "az1", "at": NaN}]'):
+            with pytest.raises(JobSpecError, match="invalid fault plan"):
+                JobSpec.from_payload({"kind": "exhibit", "exhibit": "fig17",
+                                      "faults": junk})
         with pytest.raises(JobSpecError,
                            match="probe jobs cannot carry a fault plan"):
             JobSpec.from_payload({
@@ -332,6 +344,17 @@ class TestRobustness:
             assert excinfo.value.status == 400
         finally:
             server.close()
+
+    def test_non_finite_fault_time_rejected_with_400(self, server):
+        # The client's json.dumps emits a bare NaN, which the server's
+        # json.loads parses; plan validation must turn it into a 400.
+        with pytest.raises(ServeError) as excinfo:
+            server.client.submit({
+                "kind": "exhibit", "exhibit": "fig17",
+                "faults": [{"kind": "az_crash", "target": "az1",
+                            "at": float("nan")}]})
+        assert excinfo.value.status == 400
+        assert server.client.jobs() == []
 
     def test_graceful_drain_finishes_inflight(self, server):
         job = server.client.submit(_sleep_spec(0.5))

@@ -85,8 +85,18 @@ class TestTimeout:
         assert timeout.value == "done"
 
     def test_negative_delay_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.timeout(-1.0)
+        for delay in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                sim.timeout(delay)
+            with pytest.raises(ValueError):
+                Timeout(sim, delay)
+            with pytest.raises(ValueError):
+                sim.event().succeed(delay=delay)
+            with pytest.raises(ValueError):
+                sim.call_later(delay, print)
+        # A NaN entry at the top of the heap would end run() early,
+        # silently dropping every event behind it.
+        assert sim.peek() == float("inf")
 
     def test_cannot_be_manually_triggered(self, sim):
         timeout = sim.timeout(1.0)
